@@ -14,6 +14,10 @@ from repro.workloads import nbody_source  # noqa: F401  (re-export: the
 # n-body source-munging helper now lives in the workload registry; bench
 # modules keep importing it from here)
 
+# ``requires_cc`` auto-skip, so this directory honours the marker when
+# run on its own too.
+from tests.conftest import pytest_collection_modifyitems  # noqa: E402,F401
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES_LOL = REPO_ROOT / "examples" / "lol"
 

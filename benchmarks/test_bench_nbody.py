@@ -2,8 +2,8 @@
 
 The paper's flagship demonstration, reproduced end to end:
 
-* strong/weak-scaling rows over PE counts (interpreter and compiled
-  backend, identical outputs — differentially checked);
+* strong/weak-scaling rows over PE counts (tree-walker, default engine
+  and bytecode VM, identical outputs — differentially checked);
 * trace replay onto the Epiphany-III and Cray XC40 models — the "$99
   board to $30M supercomputer" portability claim in model form;
 * pytest-benchmark timings for the representative configuration.
@@ -26,9 +26,11 @@ SRC = nbody_source(PARTICLES, STEPS)
 
 
 def test_nbody_interpreter_vs_compiled_identical():
+    # The kernel draws WHATEVR values, so the native engine (libc
+    # rand()) is not bit-comparable; the VM is compared instead.
     for n_pes in (1, 2, 4):
         ri = run_lolcode(SRC, n_pes, seed=42)
-        rc = run_lolcode(SRC, n_pes, seed=42, engine="compiled")
+        rc = run_lolcode(SRC, n_pes, seed=42, engine="vm")
         assert ri.outputs == rc.outputs, f"divergence at {n_pes} PEs"
 
 
@@ -101,9 +103,12 @@ def test_nbody_closure_engine_wallclock(benchmark):
     benchmark(lambda: run_lolcode(SRC, 2, seed=42, engine="closure"))
 
 
+@pytest.mark.requires_cc
 @pytest.mark.benchmark(group="nbody")
 def test_nbody_compiled_wallclock(benchmark):
-    """The compiled backend should beat the tree-walking interpreter —
-    the paper's motivation for building a compiler rather than an
+    """The native ``lcc`` build should beat the tree-walking interpreter
+    — the paper's motivation for building a compiler rather than an
     interpreter ('more flexible and efficient than an interpreter')."""
-    benchmark(lambda: run_lolcode(SRC, 2, seed=42, engine="compiled"))
+    benchmark(
+        lambda: run_lolcode(SRC, 2, seed=42, engine="c", executor="process")
+    )

@@ -72,14 +72,17 @@ def test_math_kernel_interpreter(benchmark):
     assert out.strip() != ""
 
 
+@pytest.mark.requires_cc
 @pytest.mark.benchmark(group="table3")
 def test_math_kernel_compiled(benchmark):
-    """Same kernel through the compiled-Python backend (ablation of the
+    """Same kernel through the native ``lcc`` build (ablation of the
     paper's interpreter-vs-compiler claim at expression level)."""
     from repro import run_lolcode
 
     def run():
-        return run_lolcode(NBODY_KERNEL, 1, engine="compiled").output
+        return run_lolcode(
+            NBODY_KERNEL, 1, engine="c", executor="process"
+        ).output
 
     out = benchmark(run)
     assert out == run_serial(NBODY_KERNEL)

@@ -4,9 +4,8 @@ Parallel and distributed extensions to LOLCODE in a SPMD/PGAS model:
 
 * :mod:`repro.lang` — lexer, parser, AST, type system;
 * :mod:`repro.interp` — SPMD-aware tree-walking interpreter;
-* :mod:`repro.compiler` — source-to-source compilers (LOLCODE -> C with
-  OpenSHMEM, like the paper's ``lcc``; and LOLCODE -> Python targeting the
-  bundled runtime);
+* :mod:`repro.compiler` — the source-to-source compiler (LOLCODE -> C with
+  OpenSHMEM, like the paper's ``lcc``) and its native build/launch path;
 * :mod:`repro.shmem` — OpenSHMEM-like runtime substrate (symmetric heap,
   barriers, locks, collectives; thread and process executors);
 * :mod:`repro.noc` — Epiphany-III / Cray XC40 machine models for trace-

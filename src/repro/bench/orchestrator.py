@@ -36,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..compiler import CompileError, NativeToolchainError
 from ..compiler.native import uses_random
-from ..launcher import run_lolcode
+from ..launcher import PYTHON_ENGINES, engine_row, run_lolcode
 from ..noc import MachineModel, cray_xc40, epiphany_iii
 from ..noc.report import projection_rows
 from ..workloads import Workload, all_workloads, get_workload
@@ -70,7 +70,7 @@ class SweepConfig:
     """What to run: the experiment matrix plus measurement knobs."""
 
     workloads: Sequence[str] = ()  # empty = every registered workload
-    engines: Sequence[str] = ("closure", "ast", "vm", "compiled")
+    engines: Sequence[str] = PYTHON_ENGINES
     executors: Sequence[str] = ("thread",)
     pe_counts: Sequence[int] = (1, 4)
     reps: int = 3
@@ -105,7 +105,7 @@ def _measure_cell(
     rows: List[dict] = []
     outputs: Dict[str, str] = {}
     for engine in config.engines:
-        native = engine == "c"
+        native = engine_row(engine).native
         # The native engine's PEs are always OS processes; record the
         # executor that actually hosts them rather than the sweep label.
         executor_used = "process" if native else executor
@@ -139,10 +139,10 @@ def _measure_cell(
             rows.append(row)
             continue
         except CompileError as exc:
-            # A documented compile-time restriction of the compiled
-            # backend (SRS computed identifiers, nested/symmetric
-            # declarations in functions).  Record an explicit skip with
-            # the reason — never silently fall back to another engine.
+            # A documented compile-time restriction of the C backend
+            # (SRS computed identifiers, nested/symmetric declarations
+            # in functions).  Record an explicit skip with the reason —
+            # never silently fall back to another engine.
             row["skipped"] = f"compile-time restriction: {exc}"
             rows.append(row)
             continue
@@ -172,19 +172,22 @@ def _measure_cell(
     # seeded Mersenne Twister, so RNG-using kernels cannot be compared
     # against it bit-for-bit; that skip is recorded explicitly.
     native_rng_differs = False
-    if "c" in outputs:
+    if any(engine_row(e).native for e in outputs):
         try:
             native_rng_differs = uses_random(source)
         except Exception:  # noqa: BLE001 - analysis is best-effort here
             native_rng_differs = False
     baseline_engine = next(
-        (e for e in outputs if e != "c"), next(iter(outputs), None)
+        (e for e in outputs if not engine_row(e).native),
+        next(iter(outputs), None),
     )
     for row in rows:
         engine = row["engine"]
         if "error" in row or "skipped" in row or engine not in outputs:
             continue
-        involves_native = engine == "c" or baseline_engine == "c"
+        involves_native = (
+            engine_row(engine).native or engine_row(baseline_engine).native
+        )
         if not workload.deterministic:
             row["differential"] = "skipped (nondeterministic workload)"
         elif len(outputs) < 2:
@@ -293,7 +296,7 @@ def collect_failures(results: Sequence[Mapping]) -> List[str]:
             f"/np{row['n_pes']}]"
         )
         if "skipped" in row:
-            # An explicit, reasoned skip (compiled-engine restriction)
+            # An explicit, reasoned skip (C-backend restriction)
             # is a recorded outcome, not a verification failure.
             continue
         if "error" in row:

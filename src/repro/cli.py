@@ -1,9 +1,7 @@
 """Command-line tools.
 
 * ``lcc`` — the paper's source-to-source compiler: LOLCODE in, C with
-  OpenSHMEM out (``--emit=c``, default, exactly Section VI.E:
-  ``lcc code.lol -o executable.c``) or runnable Python out
-  (``--emit=python``).
+  OpenSHMEM out, exactly Section VI.E: ``lcc code.lol -o executable.c``.
 * ``lolcc`` — the native compiler *driver* on top of ``lcc``: dump the
   C a program compiles to for a given launch width, or ``--build`` a
   standalone executable against the bundled single-node SHMEM shim
@@ -66,12 +64,6 @@ def lcc_main(argv: Optional[Sequence[str]] = None) -> int:
         "-o", "--output", default="-", help="output file (default stdout)"
     )
     parser.add_argument(
-        "--emit",
-        choices=("c", "python"),
-        default="c",
-        help="target language (default: c, the paper's backend)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="run the static analyses first; E-codes block the compile "
@@ -84,14 +76,9 @@ def lcc_main(argv: Optional[Sequence[str]] = None) -> int:
             rc = _check_gate(text, args.source)
             if rc:
                 return rc
-        if args.emit == "c":
-            from .compiler import compile_c
+        from .compiler import compile_c
 
-            out = compile_c(text, filename=args.source)
-        else:
-            from .compiler import compile_python
-
-            out = compile_python(text, filename=args.source)
+        out = compile_c(text, filename=args.source)
     except LolError as exc:
         return _fail(exc)
     if args.output == "-":
@@ -183,7 +170,7 @@ def lolcc_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def loli_main(argv: Optional[Sequence[str]] = None) -> int:
-    from .interp import ENGINES
+    from .launcher.engines import DEFAULT_ENGINE, ENGINES
 
     parser = argparse.ArgumentParser(
         prog="loli", description="serial LOLCODE interpreter"
@@ -197,16 +184,16 @@ def loli_main(argv: Optional[Sequence[str]] = None) -> int:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="execution engine (closure = compiled closures, default; "
-        "ast = reference tree-walker; vm = register-bytecode VM; "
-        "compiled = lcc-style LOLCODE-to-Python compilation; c = "
-        "natively compiled single-PE binary; with --max-steps the "
-        "default becomes vm, which counts steps natively)",
+        help=f"execution engine (default {DEFAULT_ENGINE}; closure = "
+        "compiled closures; ast = reference tree-walker; vm = "
+        "register-bytecode VM; c = natively compiled single-PE binary; "
+        "with --max-steps the default becomes vm, which counts steps "
+        "natively)",
     )
     args = parser.parse_args(argv)
-    # Step limits are honoured natively by vm and ast only; the closure
-    # default would be refused, so a bare --max-steps routes to the VM.
-    engine = args.engine or ("vm" if args.max_steps is not None else "closure")
+    # The default engine may not count steps, so a bare --max-steps
+    # routes to the VM, which counts them in its dispatch loop.
+    engine = args.engine or ("vm" if args.max_steps is not None else DEFAULT_ENGINE)
     try:
         from .launcher import run_lolcode
 
@@ -260,7 +247,7 @@ def loldis_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
-    from .interp import ENGINES
+    from .launcher.engines import DEFAULT_ENGINE, ENGINE_TABLE, ENGINES
 
     parser = argparse.ArgumentParser(
         prog="lolrun",
@@ -285,19 +272,14 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
         "worlds on warm persistent workers)",
     )
     parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="(deprecated) alias for --engine compiled",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="closure",
-        help="execution engine (closure = compiled closures, default; "
-        "ast = reference tree-walker; vm = register-bytecode VM, the "
-        "fastest pure-Python engine; compiled = lcc-style "
-        "LOLCODE-to-Python compilation; c = natively compiled binary "
-        "over the bundled SHMEM shim, one OS process per PE)",
+        default=DEFAULT_ENGINE,
+        help=f"execution engine (default {DEFAULT_ENGINE}; closure = "
+        "compiled closures; ast = reference tree-walker; vm = "
+        "register-bytecode VM, the fastest pure-Python engine; c = "
+        "natively compiled binary over the bundled SHMEM shim, one OS "
+        "process per PE)",
     )
     parser.add_argument(
         "--race-check",
@@ -319,16 +301,11 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     engine = args.engine
-    if args.compiled:
-        print(
-            "lolrun: --compiled is deprecated, use --engine compiled",
-            file=sys.stderr,
-        )
-        engine = "compiled"
     # Native PEs are always OS processes, so --engine c defaults the
     # executor to "process"; an explicit conflicting --executor still
     # gets the launcher's refusal rather than a silent override.
-    executor = args.executor or ("process" if engine == "c" else "thread")
+    native = ENGINE_TABLE[engine].native
+    executor = args.executor or ("process" if native else "thread")
     try:
         source = _read(args.source)
         from .launcher import run_lolcode

@@ -269,6 +269,9 @@ def build_native(
     """
     cc = cc or find_cc()
     if cc is None:
+        # A program restriction is reported ahead of the host's missing
+        # toolchain: it would fail on every host.
+        compile_c(source, filename, n_pes=n_pes)
         raise NativeToolchainError(
             "engine='c' needs a host C compiler (cc, gcc, clang, or "
             "$LOL_CC); none was found on PATH"

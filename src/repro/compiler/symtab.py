@@ -1,4 +1,4 @@
-"""Static symbol resolution for the compiler backends.
+"""Static symbol resolution for the C compiler backend.
 
 The paper's ``lcc`` is a *compiler*, so unlike the interpreter it must
 know, before emitting code, for every name:
@@ -8,10 +8,10 @@ know, before emitting code, for every name:
 * whether it is an array and, when constant, the array extent;
 * whether it carries the implied global lock (``AN IM SHARIN IT``).
 
-:func:`analyze` walks the AST once and produces a :class:`SymbolTable`
-plus a list of :class:`CompileIssue` diagnostics for constructs that are
-interpretable but not compilable (e.g. ``SRS`` computed identifiers —
-a fundamentally dynamic feature, rejected by AOT backends).
+:func:`analyze` walks the AST once and produces a :class:`SymbolTable`,
+raising :class:`CompileError` for constructs that are interpretable but
+not compilable (e.g. ``SRS`` computed identifiers — a fundamentally
+dynamic feature, rejected by AOT backends).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class SymbolInfo:
     is_array: bool = False
     size_expr: Optional[ast.Expr] = None
     shared_lock: bool = False
-    assigned_in_functions: set = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -45,7 +44,6 @@ class FunctionInfo:
     params: list[str]
     node: ast.FuncDef
     locals: dict[str, SymbolInfo] = field(default_factory=dict)
-    assigns_globals: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -53,14 +51,6 @@ class SymbolTable:
     globals: dict[str, SymbolInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     uses_random: bool = False
-    uses_gimmeh: bool = False
-    libraries: list[str] = field(default_factory=list)
-
-    def symmetric_symbols(self) -> list[SymbolInfo]:
-        return [s for s in self.globals.values() if s.symmetric]
-
-    def locked_symbols(self) -> list[SymbolInfo]:
-        return [s for s in self.globals.values() if s.shared_lock]
 
 
 def _decl_to_info(decl: ast.VarDecl) -> SymbolInfo:
@@ -136,7 +126,7 @@ def _walk_subexprs(expr: ast.Expr):
 
 def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
     """Build the symbol table; raises :class:`CompileError` on constructs
-    the compilers cannot translate."""
+    the C backend cannot translate."""
     table = SymbolTable()
 
     def scan_block(
@@ -144,10 +134,6 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
         func: Optional[FunctionInfo],
     ) -> None:
         for stmt in body:
-            if isinstance(stmt, ast.CanHas):
-                table.libraries.append(stmt.library)
-            if isinstance(stmt, ast.Gimmeh):
-                table.uses_gimmeh = True
             if isinstance(stmt, ast.VarDecl):
                 info = _decl_to_info(stmt)
                 if info.symmetric and func is not None:
@@ -178,19 +164,6 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
                 table.functions[stmt.name] = finfo
                 scan_block(stmt.body, finfo)
                 continue
-            if isinstance(stmt, ast.Loop) and stmt.var is not None:
-                target = table.globals if func is None else func.locals
-                # Loop counters are loop-local; track them so codegen can
-                # initialise them, but do not clobber an outer declaration.
-                key = f"{stmt.label}${stmt.var}"
-                del key  # loop vars handled directly by codegen
-            if isinstance(stmt, ast.Assign) and func is not None:
-                tgt = stmt.target
-                base = tgt.base if isinstance(tgt, ast.Index) else tgt
-                if isinstance(base, ast.VarRef):
-                    name = base.name
-                    if name not in func.locals and name not in func.params:
-                        func.assigns_globals.append(name)
             for expr in _walk_exprs(stmt):
                 for sub in _walk_subexprs(expr):
                     if isinstance(sub, ast.RandomExpr):
@@ -198,7 +171,7 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
                     if isinstance(sub, ast.SrsRef) and not allow_srs:
                         raise CompileError(
                             "SRS computed identifiers are interpret-only "
-                            "(not supported by the compiler backends)",
+                            "(not supported by the C backend)",
                             sub.pos,
                         )
             for block in ast.child_statements(stmt):
@@ -207,13 +180,3 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
     scan_block(program.body, None)
     return table
 
-
-def loop_counters(body: list[ast.Stmt]) -> list[str]:
-    """All loop-counter names declared by ``IM IN YR ... UPPIN YR v``
-    anywhere in ``body`` (compilers pre-declare them)."""
-    names: list[str] = []
-    for stmt in ast.walk_statements(body):
-        if isinstance(stmt, ast.Loop) and stmt.var is not None:
-            if stmt.var not in names:
-                names.append(stmt.var)
-    return names

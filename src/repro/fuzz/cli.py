@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ..launcher.engines import ENGINES, EXECUTORS
 from .diff import DEFAULT_ENGINES
 
 EXIT_OK = 0
@@ -39,9 +40,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-np", "--n-pes", type=int, default=4, dest="n_pes")
     p.add_argument("--seed", type=int, default=0, help="fuzzer RNG seed")
     p.add_argument("--engines", nargs="+", default=list(DEFAULT_ENGINES),
-                   metavar="ENGINE")
+                   choices=ENGINES, metavar="ENGINE")
     p.add_argument("--executors", nargs="+", default=["thread"],
-                   metavar="EXECUTOR")
+                   choices=EXECUTORS, metavar="EXECUTOR")
     p.add_argument("--max-steps", type=int, default=200_000)
     p.add_argument("--barrier-timeout", type=float, default=20.0)
 

@@ -33,11 +33,12 @@ from typing import Optional, Sequence
 from ..lang import ast as lol_ast
 from ..lang.checker import check_source
 from ..lang.errors import LolError
+from ..launcher.engines import PYTHON_ENGINES, engine_row
 from ..launcher.spmd import run_lolcode
 from ..shmem.runtime_threads import run_spmd
 
 #: Engines the fuzzer compares by default (reference first).
-DEFAULT_ENGINES: tuple[str, ...] = ("ast", "closure", "vm", "compiled")
+DEFAULT_ENGINES: tuple[str, ...] = PYTHON_ENGINES
 
 #: Checker codes whose presence disqualifies a candidate: static errors
 #: plus the parallel-correctness warnings (divergent barrier, data race,
@@ -189,7 +190,7 @@ def run_engine(
         )
     except LolError as exc:
         if type(exc).__name__ == "CompileError" or "CompileError" in str(type(exc.__cause__)):
-            # Documented backend restriction (SRS, nested decls, ...):
+            # Documented C-backend restriction (SRS, nested decls, ...):
             # a skip, not a divergence — mirrors test_engine_differential.
             return Outcome("skip", detail=str(exc).splitlines()[0][:200])
         return classify_exception(exc)
@@ -216,7 +217,13 @@ def run_differential(
     ``"vm-steps"`` (non-vectorized VM with step accounting), so the two
     VM configurations — vectorized and step-counted — are both checked
     against the reference on every candidate.
+
+    An engine name missing from the engine table (say, a stale corpus
+    entry) raises :class:`~repro.lang.errors.LolParallelError` before
+    anything runs, rather than surfacing later as a bogus divergence.
     """
+    for engine in engines:
+        engine_row(engine)
     if not skip_lint:
         reason = lint_gate(source, filename)
         if reason is not None:

@@ -14,13 +14,13 @@
 * ``"serial"`` — requires ``n_pes == 1``; runs inline (the behaviour of a
   plain LOLCODE interpreter, ``loli``).
 
-``engine="c"`` (the natively compiled path) is special: its PEs are
-always real OS processes built and launched by
-:mod:`repro.compiler.native`, so it pairs only with
-``executor="process"`` (or ``"serial"`` at one PE) and refuses the
-interpreter-only knobs — ``max_steps``, op tracing, race detection —
-with explicit errors rather than silently falling back to a different
-engine.
+What each engine supports — how its PEs run, ``max_steps``, op
+tracing, native processes — is one row of
+:data:`~repro.launcher.engines.ENGINE_TABLE`; knobs a row cannot honour
+are refused with explicit errors rather than silently falling back to a
+different engine.  ``engine="c"`` (the natively compiled path) runs its
+PEs as real OS processes built and launched by
+:mod:`repro.compiler.native`, imported only when such a run starts.
 
 The process executor needs the symmetric allocation set before workers
 start, so :func:`plan_from_program` statically scans the AST for
@@ -41,16 +41,12 @@ from ..lang import ast
 from ..lang.errors import LolParallelError
 from ..lang.parser import parse_cached
 from ..lang.types import parse_type, to_numbr
-from ..interp import ENGINES, compile_closures_cached, compile_vm_cached
-from ..interp.interpreter import Interpreter
 from ..interp.values import binop, unop
-from ..compiler.py_backend import compile_python_cached, compiled_worker
 from ..shmem.api import DEFAULT_BARRIER_TIMEOUT, ShmemContext
 from ..shmem.heap import SymmetricPlan
 from ..shmem.runtime_procs import run_spmd_procs
 from ..shmem.runtime_threads import SpmdResult, run_spmd
-
-EXECUTORS = ("thread", "process", "serial", "pool")
+from .engines import DEFAULT_ENGINE, ENGINE_TABLE, EXECUTORS, check_launch
 
 
 def _const_fold(expr: ast.Expr, n_pes: int) -> object:
@@ -124,14 +120,11 @@ def _pe_main(
     PE's comm spans); disarmed, the wrapper is one ``None`` check.
 
     Engine dispatch happens here (rather than in ``run_lolcode``) because
-    neither compiled closures nor exec'd ``pe_main`` modules are
-    picklable: thread PEs share one compiled program through the
-    :func:`~repro.interp.compile_closures_cached` /
-    :func:`~repro.compiler.compile_python_cached` LRUs, while each worker
-    process hits its own per-process cache.  ``max_steps`` is honoured
-    natively by the ``vm`` and ``ast`` engines only; the launcher
-    rejects it for every other engine before dispatch.
+    compiled programs are not picklable: thread PEs share one compiled
+    program through the engine's process-wide LRU, while each worker
+    process hits its own per-process cache.
     """
+    run_pe = ENGINE_TABLE[engine].run_pe
     rt = _obs.ACTIVE
     if rt is not None and rt.trace_on:
         with rt.tracer.span(
@@ -140,56 +133,9 @@ def _pe_main(
             tid=f"PE-{ctx.my_pe}",
             args={"engine": engine, "pe": ctx.my_pe},
         ):
-            _pe_body(source, filename, max_steps, engine, ctx)
+            run_pe(source, filename, max_steps, ctx)
         return
-    _pe_body(source, filename, max_steps, engine, ctx)
-
-
-def _compile_span(fn, engine: str, ctx: ShmemContext, *args):
-    """Call a cached compile front-end inside a ``compile`` span when
-    tracing is armed (a cache hit shows up as a ~0-duration span)."""
-    rt = _obs.ACTIVE
-    if rt is None or not rt.trace_on:
-        return fn(*args)
-    with rt.tracer.span("compile", engine, tid=f"PE-{ctx.my_pe}"):
-        return fn(*args)
-
-
-def _pe_body(
-    source: str, filename: str, max_steps, engine: str, ctx: ShmemContext
-) -> None:
-    """Engine dispatch for one PE (see :func:`_pe_main`)."""
-    if engine == "vm":
-        # The VM counts statement steps in its own dispatch loop, so a
-        # max_steps limit never changes which engine runs.  count_flops
-        # (like the closure engine) keys off whether tracing is on.
-        _compile_span(
-            compile_vm_cached,
-            engine,
-            ctx,
-            source,
-            filename,
-            ctx.trace is not None,
-            max_steps is not None,
-        ).run(ctx, max_steps=max_steps)
-        return
-    if max_steps is None:
-        if engine == "closure":
-            compiled = _compile_span(
-                compile_closures_cached,
-                engine,
-                ctx,
-                source,
-                filename,
-                ctx.trace is not None,
-            )
-            compiled.run(ctx)
-            return
-        if engine == "compiled":
-            compiled_worker(source, filename, ctx)
-            return
-    program = parse_cached(source, filename)
-    Interpreter(program, ctx, max_steps=max_steps).run()
+    run_pe(source, filename, max_steps, ctx)
 
 
 def run_lolcode(
@@ -205,29 +151,24 @@ def run_lolcode(
     race_detection: bool = False,
     max_steps: Optional[int] = None,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
-    engine: str = "closure",
+    engine: str = DEFAULT_ENGINE,
     fallback_engine: Optional[str] = None,
     check: str = "off",
 ) -> SpmdResult:
     """Parse ``source`` once (for early syntax errors) and run it SPMD.
 
-    ``engine`` selects the execution engine per PE: ``"closure"``
+    ``engine`` selects the execution engine per PE from
+    :data:`~repro.launcher.engines.ENGINE_TABLE`: ``"closure"``
     (default — compile once per program into zero-dispatch closures,
     shared by all PEs), ``"ast"`` (the reference tree-walker),
     ``"vm"`` (register bytecode run by a dispatch loop with inline
-    caches — the fastest pure-Python engine; with ``ast`` the only
-    engine honouring ``max_steps``, counted natively), ``"compiled"``
-    (LOLCODE compiled to a Python ``pe_main`` module and launched;
-    rejects interpret-only constructs such as ``SRS`` computed
-    identifiers with a :class:`~repro.compiler.CompileError`, and
-    refuses ``max_steps`` outright rather than silently
-    reinterpreting), or ``"c"`` (the paper's full ``lcc`` pipeline:
-    LOLCODE -> C + OpenSHMEM, built by the system C compiler against
-    the bundled SHMEM shim, one OS process per PE; pairs with
-    ``executor="process"`` only and additionally refuses ``trace`` and
-    ``race_detection``; raises
-    :class:`~repro.compiler.NativeToolchainError` when the host has no
-    C compiler).
+    caches — the fastest pure-Python engine), or ``"c"`` (the paper's
+    full ``lcc`` pipeline: LOLCODE -> C + OpenSHMEM, built by the
+    system C compiler against the bundled SHMEM shim, one OS process
+    per PE; raises :class:`~repro.compiler.NativeToolchainError` when
+    the host has no C compiler).  :func:`~repro.launcher.engines.check_launch`
+    refuses, before launch, every knob the engine's row says it cannot
+    honour (``max_steps``, ``trace``, race detection, executor).
 
     ``fallback_engine`` opts into graceful degradation: if the requested
     engine fails for an *environmental* reason — no C toolchain, or a
@@ -245,29 +186,21 @@ def run_lolcode(
     :class:`~repro.lang.errors.LolStaticError`) when any ``E``-code is
     reported.
     """
-    if executor not in EXECUTORS:
-        raise LolParallelError(
-            f"unknown executor {executor!r} (choose from {EXECUTORS})"
-        )
-    if engine not in ENGINES:
-        raise LolParallelError(
-            f"unknown engine {engine!r} (choose from {ENGINES})"
-        )
+    check_launch(
+        engine,
+        executor,
+        n_pes,
+        max_steps=max_steps,
+        trace=trace,
+        race_detection=race_detection,
+        fallback_engine=fallback_engine,
+    )
     if check not in ("off", "warn", "error"):
         raise LolParallelError(
             f"unknown check mode {check!r} "
             f"(choose from ('off', 'warn', 'error'))"
         )
     if fallback_engine is not None:
-        if fallback_engine not in ENGINES:
-            raise LolParallelError(
-                f"unknown fallback_engine {fallback_engine!r} "
-                f"(choose from {ENGINES})"
-            )
-        if fallback_engine == engine:
-            raise LolParallelError(
-                f"fallback_engine must differ from engine (both {engine!r})"
-            )
         from ..compiler.native import NativeBuildError, NativeToolchainError
 
         run = partial(
@@ -334,35 +267,7 @@ def run_lolcode(
         else nullcontext()
     )
     with _launch_span:
-        if engine == "c":
-            # The native engine has exactly one execution vehicle: OS
-            # processes running the binary the system C compiler produced.
-            # Every knob it cannot honour is refused loudly — a silent
-            # fallback to an interpreter would misreport what ran.
-            if executor not in ("process", "serial"):
-                raise LolParallelError(
-                    f"engine='c' runs PEs as native OS processes; use "
-                    f"executor='process' (got {executor!r})"
-                )
-            if executor == "serial" and n_pes != 1:
-                raise LolParallelError(
-                    f"serial executor runs exactly 1 PE, got {n_pes}"
-                )
-            if max_steps is not None:
-                raise LolParallelError(
-                    "engine='c' does not support max_steps; use engine='ast' "
-                    "(the step-counting tree-walker)"
-                )
-            if trace:
-                raise LolParallelError(
-                    "engine='c' does not support op tracing (native binaries "
-                    "are not instrumented); use engine='closure' or "
-                    "'compiled' for traced runs"
-                )
-            if race_detection:
-                raise LolParallelError(
-                    "race detection requires the thread executor"
-                )
+        if ENGINE_TABLE[engine].native:
             # Compile restrictions (CompileError) and a missing C toolchain
             # (NativeToolchainError) both surface here, in the caller.
             from ..compiler.native import run_native_source
@@ -375,38 +280,9 @@ def run_lolcode(
                 stdin_lines=stdin_lines,
                 barrier_timeout=barrier_timeout,
             )
-        if engine == "closure" and max_steps is not None:
-            # This used to fall back silently to the tree-walker, which made
-            # "closure with a step limit" report ast-engine timings and let
-            # interpret-only programs slip through.  Refuse loudly instead,
-            # like the compiled engines do, and point at the engines that
-            # count steps natively.
-            raise LolParallelError(
-                "engine='closure' does not support max_steps; use engine='vm' "
-                "(step counting in the bytecode dispatch loop) or engine='ast' "
-                "(the step-counting tree-walker)"
-            )
-        if engine == "compiled":
-            if max_steps is not None:
-                # The closure engine's documented max_steps fallback to the
-                # tree-walker would be a *silent engine swap* here: callers
-                # probing compiled-engine compatibility would see interpret-
-                # only programs "succeed".  Refuse instead.
-                raise LolParallelError(
-                    "engine='compiled' does not support max_steps; use "
-                    "engine='ast' (the step-counting tree-walker)"
-                )
-            # Surface compile-time restrictions (SRS, nested declarations, …)
-            # in the caller too, instead of from inside a worker thread; this
-            # also warms the exact LRU key the thread PEs will share.
-            compile_python_cached(source, filename, trace)
         worker = partial(_pe_main, source, filename, max_steps, engine)
 
         if executor in ("process", "pool"):
-            if race_detection:
-                raise LolParallelError(
-                    "race detection requires the thread executor"
-                )
             plan = plan_from_program(program, n_pes)
             if executor == "pool":
                 # Warm worker pool (repro.service): same worlds and the
@@ -434,10 +310,6 @@ def run_lolcode(
                 barrier_timeout=barrier_timeout,
             )
 
-        if executor == "serial" and n_pes != 1:
-            raise LolParallelError(
-                f"serial executor runs exactly 1 PE, got {n_pes}"
-            )
         return run_spmd(
             worker,
             n_pes,

@@ -63,6 +63,8 @@ def _resolve_source(args) -> tuple:
 
 
 def loltrace_main(argv: Optional[Sequence[str]] = None) -> int:
+    from ..launcher.engines import DEFAULT_ENGINE, ENGINES
+
     parser = argparse.ArgumentParser(
         prog="loltrace",
         description="run parallel LOLCODE with structured tracing armed "
@@ -90,7 +92,9 @@ def loltrace_main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("thread", "process", "pool", "serial"),
         default="thread",
     )
-    parser.add_argument("--engine", default="closure")
+    parser.add_argument(
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE
+    )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "-o",

@@ -81,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--smoke", action="store_true",
                           help="use the workload's smoke sizes")
     submit_p.add_argument("-np", "--n-pes", type=int, default=4, dest="n_pes")
-    submit_p.add_argument("--engine", default="closure")
+    submit_p.add_argument(
+        "--engine", default=None,
+        help="execution engine (default: the server's default engine)",
+    )
     submit_p.add_argument("--executor", default="pool")
     submit_p.add_argument("--seed", type=int, default=None)
     submit_p.add_argument("--trace", action="store_true")

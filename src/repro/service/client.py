@@ -195,7 +195,7 @@ class ServiceClient:
         params: Optional[Mapping[str, int]] = None,
         smoke: bool = False,
         n_pes: int = 1,
-        engine: str = "closure",
+        engine: Optional[str] = None,
         executor: str = "pool",
         seed: Optional[int] = None,
         trace: bool = False,
@@ -205,6 +205,8 @@ class ServiceClient:
         max_attempts: Optional[int] = None,
     ) -> str:
         """Submit a job; returns its job id immediately.
+
+        ``engine=None`` leaves the choice to the server's default engine.
 
         ``fallback_engine`` opts into graceful degradation (the result
         row is marked ``degraded`` if the fallback ran); ``max_attempts``

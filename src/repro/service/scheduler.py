@@ -8,7 +8,7 @@ first-served fairness fall out of that shape directly.  Each job runs
 
 Compilation is **single-flight**: ``run_lolcode`` goes through the
 process-wide compile caches (:func:`repro.interp.compile_closures_cached`
-/ :func:`repro.compiler.compile_python_cached`), which serialise
+/ :func:`repro.interp.compile_vm_cached`), which serialise
 concurrent identical keys — N simultaneous submissions of one source
 compile it once, the other N-1 block briefly and reuse the warm entry.
 
@@ -29,7 +29,8 @@ from typing import Dict, Mapping, Optional
 
 from .. import obs as _obs
 from ..faults import RetryPolicy, inject, is_retryable
-from ..lang.errors import LolError
+from ..lang.errors import LolError, LolParallelError
+from ..launcher.engines import DEFAULT_ENGINE, check_launch, engine_row
 
 # Registry-mirrored scheduler metrics.  Instance attributes stay
 # canonical for `stats()` (a process may host several schedulers in
@@ -110,7 +111,7 @@ class JobSpec:
 
     source: str
     n_pes: int = 1
-    engine: str = "closure"
+    engine: str = DEFAULT_ENGINE
     executor: str = "pool"
     seed: Optional[int] = None
     trace: bool = False
@@ -130,13 +131,14 @@ class JobSpec:
         gets its source generated here and its checker run on the
         result, exactly like a ``lolbench`` sweep cell.
 
-        ``engine="c"`` jobs may be submitted with the default ``"pool"``
-        executor; they resolve to ``"process"`` (native PEs are always
-        OS processes) while keeping warm-job economics through the
-        native build cache, and they refuse ``trace``.
+        Engine/executor/knob combinations go through the launcher's
+        :func:`~repro.launcher.engines.check_launch`, so a job the
+        launcher would refuse is refused here, at submit.  The one
+        service-only rule: native-engine jobs may be submitted with the
+        default ``"pool"`` executor and resolve to ``"process"`` (native
+        PEs are always OS processes), keeping warm-job economics through
+        the native build cache.
         """
-        from ..launcher import ENGINES, EXECUTORS
-
         source = payload.get("source")
         workload = payload.get("workload")
         params = dict(payload.get("params") or {})
@@ -155,58 +157,33 @@ class JobSpec:
                 source = w.source(params)
             except WorkloadError as exc:
                 raise ServiceError(str(exc)) from exc
-        engine = payload.get("engine", "closure")
+        engine = payload.get("engine", DEFAULT_ENGINE)
         executor = payload.get("executor", "pool")
-        if engine not in ENGINES:
-            raise ServiceError(
-                f"unknown engine {engine!r} (choose from {ENGINES})"
-            )
-        if executor not in EXECUTORS:
-            raise ServiceError(
-                f"unknown executor {executor!r} (choose from {EXECUTORS})"
-            )
-        if engine == "c":
-            # Native jobs always execute as OS processes — the warm
-            # pool's Python workers cannot host a native binary, so a
-            # pool submission (including the default) resolves to the
-            # process executor here and bypasses the scheduler's pool
-            # gate.  Warm-job economics survive anyway: the on-disk
-            # build cache reuses one binary across every job with the
-            # same (source, n_pes).
-            if payload.get("trace"):
-                raise ServiceError(
-                    "engine 'c' does not support op tracing; submit with "
-                    "engine 'closure' or 'compiled' for traced runs"
-                )
-            if executor == "pool":
-                executor = "process"
-            elif executor not in ("process", "serial"):
-                # Same loud-early refusal as trace: don't accept a job
-                # that can only fail later inside a worker.
-                raise ServiceError(
-                    f"engine 'c' runs PEs as native OS processes; "
-                    f"submit with executor 'process' (got {executor!r})"
-                )
         n_pes = payload.get("n_pes", 1)
         if not isinstance(n_pes, int) or n_pes < 1:
             raise ServiceError(f"n_pes must be a positive integer, got {n_pes!r}")
+        fallback_engine = payload.get("fallback_engine")
+        try:
+            if executor == "pool" and engine_row(engine).native:
+                # The warm pool's Python workers cannot host a native
+                # binary; the process executor bypasses the scheduler's
+                # pool gate, and the on-disk build cache reuses one
+                # binary across every job with the same (source, n_pes).
+                executor = "process"
+            check_launch(
+                engine,
+                executor,
+                n_pes,
+                trace=bool(payload.get("trace")),
+                fallback_engine=fallback_engine,
+            )
+        except LolParallelError as exc:
+            raise ServiceError(exc.message) from exc
         timeout = payload.get("timeout")
         if timeout is not None and not (
             isinstance(timeout, (int, float)) and timeout > 0
         ):
             raise ServiceError(f"timeout must be a positive number, got {timeout!r}")
-        fallback_engine = payload.get("fallback_engine")
-        if fallback_engine is not None:
-            if fallback_engine not in ENGINES:
-                raise ServiceError(
-                    f"unknown fallback_engine {fallback_engine!r} "
-                    f"(choose from {ENGINES})"
-                )
-            if fallback_engine == engine:
-                raise ServiceError(
-                    "fallback_engine must differ from engine "
-                    f"(both {engine!r})"
-                )
         max_attempts = payload.get("max_attempts")
         if max_attempts is not None and not (
             isinstance(max_attempts, int) and max_attempts >= 1

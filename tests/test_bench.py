@@ -36,10 +36,10 @@ def test_run_sweep_schema(tiny_payload):
     assert tiny_payload["schema"] == 1
     assert tiny_payload["failures"] == []
     rows = tiny_payload["results"]
-    # 2 workloads x 4 engines (closure/ast/vm/compiled) x 2 PE counts
+    # 2 workloads x 3 Python engines (ast/closure/vm) x 2 PE counts
     # on the thread executor
-    assert len(rows) == 16
-    assert {r["engine"] for r in rows} == {"closure", "ast", "vm", "compiled"}
+    assert len(rows) == 12
+    assert {r["engine"] for r in rows} == {"closure", "ast", "vm"}
     for row in rows:
         assert row["checker"] == "pass"
         assert row["differential"] == "pass"
@@ -135,10 +135,12 @@ def test_collect_failures_flags_bad_rows():
 
 
 def test_compile_restricted_workload_skipped_with_reason():
-    # A workload the compiled backend cannot translate (SRS computed
+    # A workload the C backend cannot translate (SRS computed
     # identifiers) must yield an explicit per-row skip reason for the
-    # compiled engine — never an error row, a silent drop, or a silent
+    # native engine — never an error row, a silent drop, or a silent
     # fallback to an interpreter — while the interpreter rows still run.
+    # (The restriction surfaces before any toolchain lookup, so this
+    # holds on hosts without a C compiler too.)
     from repro.workloads import WORKLOADS, Workload, register
 
     register(
@@ -156,7 +158,11 @@ def test_compile_restricted_workload_skipped_with_reason():
     try:
         payload = run_sweep(
             SweepConfig(
-                workloads=("_test_srs",), pe_counts=(1,), reps=1, smoke=True
+                workloads=("_test_srs",),
+                engines=("closure", "ast", "c"),
+                pe_counts=(1,),
+                reps=1,
+                smoke=True,
             )
         )
     finally:
@@ -164,9 +170,9 @@ def test_compile_restricted_workload_skipped_with_reason():
     rows = {r["engine"]: r for r in payload["results"]}
     assert rows["closure"]["checker"] == "pass"
     assert rows["ast"]["checker"] == "pass"
-    assert "seconds" not in rows["compiled"]
-    assert "compile-time restriction" in rows["compiled"]["skipped"]
-    assert "SRS" in rows["compiled"]["skipped"]
+    assert "seconds" not in rows["c"]
+    assert "compile-time restriction" in rows["c"]["skipped"]
+    assert "SRS" in rows["c"]["skipped"]
     # an explicit skip is a recorded outcome, not a verification failure
     assert payload["failures"] == []
     assert "SKIP" in render_results(payload["results"])
@@ -174,7 +180,7 @@ def test_compile_restricted_workload_skipped_with_reason():
 
 def test_collect_failures_ignores_explicit_skips():
     rows = [
-        {"workload": "w", "engine": "compiled", "executor": "x", "n_pes": 1,
+        {"workload": "w", "engine": "c", "executor": "x", "n_pes": 1,
          "skipped": "compile-time restriction: SRS"},
     ]
     assert collect_failures(rows) == []

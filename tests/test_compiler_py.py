@@ -1,73 +1,69 @@
-"""Tests for the LOLCODE -> Python backend, including differential
-interpreter-vs-compiled checks (same semantics kernels, so outputs must be
-bit-identical)."""
+"""Tests for the compile pipelines: the C backend's compile-time
+rejections, and differential checks of the Python-hosted compilers (the
+closure compiler and the bytecode VM) against the reference tree-walker
+(same semantics kernels, so outputs must be bit-identical)."""
 
 import pytest
 
 from repro import run_lolcode
-from repro.compiler import (
-    CompileError,
-    compile_python,
-    compile_python_cached,
-    load_pe_main,
-    run_compiled,
-)
-from repro.shmem import run_spmd
+from repro.compiler import CompileError, compile_c
+from repro.interp import compile_vm_cached
+from repro.launcher import PYTHON_ENGINES
 
 from .conftest import lol
 
 
 def diff_check(body: str, n_pes: int = 1, seed: int = 5, **kwargs):
-    """Run through interpreter and compiled backend; outputs must match."""
+    """Run on every Python engine; outputs must match the tree-walker."""
     src = lol(body)
-    ri = run_lolcode(src, n_pes, seed=seed, **kwargs)
-    rc = run_lolcode(src, n_pes, seed=seed, engine="compiled", **kwargs)
-    assert ri.outputs == rc.outputs, (
-        f"interpreter vs compiled divergence:\n{ri.outputs!r}\n{rc.outputs!r}"
-    )
-    return rc
+    ref = run_lolcode(src, n_pes, seed=seed, engine="ast", **kwargs)
+    for engine in PYTHON_ENGINES:
+        got = run_lolcode(src, n_pes, seed=seed, engine=engine, **kwargs)
+        assert got.outputs == ref.outputs, (
+            f"{engine} vs ast divergence:\n{ref.outputs!r}\n{got.outputs!r}"
+        )
+    return got
 
 
 class TestCodegenBasics:
     def test_generates_pe_main(self):
-        py = compile_python(lol("VISIBLE 1"))
-        assert "def pe_main(ctx):" in py
-        fn = load_pe_main(py)
-        r = run_spmd(fn, 1)
-        assert r.output == "1\n"
+        c = compile_c(lol("VISIBLE 1"))
+        assert "int main(void)" in c
+        assert c.index("shmem_init();") < c.index("shmem_finalize();")
 
     def test_mangled_names_avoid_collisions(self):
-        # A LOLCODE variable named 'ctx' must not clash with the context.
-        py = compile_python(lol("I HAS A ctx ITZ 5\nVISIBLE ctx"))
-        assert "L_ctx" in py
-        fn = load_pe_main(py)
-        assert run_spmd(fn, 1).output == "5\n"
+        # LOLCODE names that are also host-language identifiers of the
+        # engines' own runtimes must not clash with them.
+        diff_check(
+            "I HAS A ctx ITZ 5\nI HAS A rt ITZ 2\nI HAS A frame ITZ 3\n"
+            "VISIBLE SUM OF ctx AN PRODUKT OF rt AN frame"
+        )
 
     def test_srs_rejected(self):
         with pytest.raises(CompileError):
-            compile_python(lol('I HAS A x ITZ 1\nVISIBLE SRS "x"'))
+            compile_c(lol('I HAS A x ITZ 1\nVISIBLE SRS "x"'))
 
     def test_unknown_function_rejected_at_compile_time(self):
         with pytest.raises(CompileError):
-            compile_python(lol("I IZ nope MKAY"))
+            compile_c(lol("I IZ nope MKAY"))
 
     def test_bad_arity_rejected_at_compile_time(self):
         with pytest.raises(CompileError):
-            compile_python(
+            compile_c(
                 lol("HOW IZ I f YR a\n  FOUND YR a\nIF U SAY SO\nI IZ f MKAY")
             )
 
     def test_gtfo_outside_any_construct_rejected(self):
         with pytest.raises(CompileError):
-            compile_python(lol("GTFO"))
+            compile_c(lol("GTFO"))
 
     def test_infinite_loop_without_gtfo_rejected(self):
         with pytest.raises(CompileError):
-            compile_python(lol("IM IN YR x\n  VISIBLE 1\nIM OUTTA YR x"))
+            compile_c(lol("IM IN YR x\n  VISIBLE 1\nIM OUTTA YR x"))
 
 
 class TestDifferentialSerial:
-    """Interpreter and compiled backend must agree exactly (1 PE)."""
+    """Every Python engine must agree with the tree-walker exactly (1 PE)."""
 
     CASES = [
         'VISIBLE "HAI" 42 3.14 WIN',
@@ -156,7 +152,7 @@ class TestDifferentialParallel:
         diff_check(body, n_pes=1)
 
     def test_random_streams_match(self):
-        # Both paths draw from ctx.rng, so seeded streams agree.
+        # Every Python engine draws from ctx.rng, so seeded streams agree.
         diff_check("VISIBLE WHATEVR\nVISIBLE WHATEVAR", n_pes=3, seed=11)
 
     def test_block_predication(self):
@@ -175,8 +171,8 @@ class TestDifferentialParallel:
 
     def test_nbody_fixed_matches(self, example_path):
         src = example_path("nbody2d_fixed.lol").read_text()
-        ri = run_lolcode(src, 2, seed=3)
-        rc = run_lolcode(src, 2, seed=3, engine="compiled")
+        ri = run_lolcode(src, 2, seed=3, engine="ast")
+        rc = run_lolcode(src, 2, seed=3, engine="vm")
         assert ri.outputs == rc.outputs
 
 
@@ -192,132 +188,58 @@ class TestCompiledOnProcesses:
             "VISIBLE got"
         )
         r = run_lolcode(
-            lol(body), 3, executor="process", engine="compiled",
+            lol(body), 3, executor="process", engine="vm",
             barrier_timeout=60,
         )
         assert r.outputs == ["3\n", "6\n", "0\n"]
 
 
 class TestEnginePromotion:
-    """The compiled backend as a first-class engine: deprecated shim,
-    traceback filenames, and the bounded compile cache."""
-
-    def test_run_compiled_shim_warns_and_delegates(self):
-        src = lol("VISIBLE SUM OF ME AN 10")
-        with pytest.warns(DeprecationWarning, match="engine='compiled'"):
-            r = run_compiled(src, 2, seed=1)
-        assert r.outputs == ["10\n", "11\n"]
+    """Compiled engines as first-class launcher engines: restrictions
+    surface in the caller, and the VM's compile cache is bounded, keyed
+    by filename and flags, and shared by every thread PE."""
 
     def test_compiled_rejects_max_steps_free_srs_via_launcher(self):
-        # First-class engine selection must reject interpret-only
-        # constructs in the *caller*, not from inside a worker thread.
+        # The native engine must reject interpret-only constructs in the
+        # *caller* (before any toolchain lookup), not from inside a PE.
         with pytest.raises(CompileError, match="SRS"):
             run_lolcode(
-                lol('I HAS A x ITZ 1\nVISIBLE SRS "x"'), 1, engine="compiled"
+                lol('I HAS A x ITZ 1\nVISIBLE SRS "x"'), 1, engine="c",
+                executor="process",
             )
-
-    def test_load_pe_main_threads_filename(self):
-        py = compile_python(lol("VISIBLE 1"), filename="kernels/demo.lol")
-        fn = load_pe_main(py, "kernels/demo.lol")
-        assert fn.__code__.co_filename.startswith(
-            "<compiled kernels/demo.lol#"
-        )
-        assert "lolcode-compiled" in load_pe_main(py).__code__.co_filename
-
-    def test_linecache_entries_unique_per_program(self):
-        # Two different programs compiled under the same filename (the
-        # "<string>" default) must not clobber each other's registered
-        # generated source — the content hash keeps the names distinct.
-        import linecache
-
-        py_a = compile_python(lol("VISIBLE 1"))
-        py_b = compile_python(lol('VISIBLE "totally different"'))
-        fn_a = load_pe_main(py_a)
-        fn_b = load_pe_main(py_b)
-        name_a = fn_a.__code__.co_filename
-        name_b = fn_b.__code__.co_filename
-        assert name_a != name_b
-        assert linecache.cache[name_a][2] == py_a.splitlines(True)
-        assert linecache.cache[name_b][2] == py_b.splitlines(True)
-
-    def test_linecache_registry_is_bounded(self):
-        from repro.compiler.py_backend import (
-            _LINECACHE_LIMIT,
-            _LINECACHE_NAMES,
-        )
-
-        for i in range(_LINECACHE_LIMIT + 10):
-            load_pe_main(compile_python(lol(f"VISIBLE {i + 100000}")))
-        assert len(_LINECACHE_NAMES) <= _LINECACHE_LIMIT
-        import linecache
-
-        registered = [n for n in linecache.cache if n.startswith("<compiled ")]
-        assert len(registered) <= _LINECACHE_LIMIT
-
-    def test_runtime_tracebacks_quote_generated_source(self):
-        # Frames from inside the generated module must carry the real
-        # .lol path *and* quote the generated Python line (registered
-        # with linecache), not an unrelated line of LOLCODE text.
-        import traceback
-
-        from repro.lang.errors import LolError
-
-        try:
-            run_lolcode(
-                lol("VISIBLE QUOSHUNT OF 1 AN 0"),
-                1,
-                engine="compiled",
-                filename="kernels/div0.lol",
-            )
-        except LolError as exc:
-            # the launcher wraps the PE error; the worker frames hang
-            # off __cause__
-            cause = exc.__cause__ or exc
-            frames = [
-                f
-                for f in traceback.extract_tb(cause.__traceback__)
-                if "kernels/div0.lol" in f.filename
-            ]
-            assert frames, "no traceback frame names the .lol source"
-            assert frames[0].filename.startswith("<compiled kernels/div0.lol#")
-            assert "_binop" in (frames[0].line or "")
-        else:  # pragma: no cover
-            pytest.fail("expected LolError")
 
     def test_compiled_cache_keyed_by_filename(self):
-        compile_python_cached.cache_clear()
+        compile_vm_cached.cache_clear()
         src = lol("VISIBLE 2")
-        a = compile_python_cached(src, "a.lol")
-        b = compile_python_cached(src, "b.lol")
+        a = compile_vm_cached(src, "a.lol")
+        b = compile_vm_cached(src, "b.lol")
         assert a is not b
-        assert a.__code__.co_filename.startswith("<compiled a.lol#")
-        assert b.__code__.co_filename.startswith("<compiled b.lol#")
-        assert compile_python_cached(src, "a.lol") is a
+        assert compile_vm_cached(src, "a.lol") is a
 
     def test_compiled_cache_is_bounded(self):
-        compile_python_cached.cache_clear()
-        maxsize = compile_python_cached.cache_info().maxsize
+        compile_vm_cached.cache_clear()
+        maxsize = compile_vm_cached.cache_info().maxsize
         assert maxsize is not None, "compile cache must be bounded"
         for i in range(maxsize + 8):
-            compile_python_cached(lol(f"VISIBLE {i}"), f"gen{i}.lol")
-        assert compile_python_cached.cache_info().currsize <= maxsize
+            compile_vm_cached(lol(f"VISIBLE {i}"), f"gen{i}.lol")
+        assert compile_vm_cached.cache_info().currsize <= maxsize
 
     def test_compiled_cache_shared_across_thread_pes(self):
-        compile_python_cached.cache_clear()
+        compile_vm_cached.cache_clear()
         src = lol("VISIBLE SUM OF ME AN 1")
-        run_lolcode(src, 4, seed=1, engine="compiled")
-        info = compile_python_cached.cache_info()
-        assert info.misses == 1  # compiled once (launcher pre-warm)...
-        assert info.hits >= 4  # ...shared by every PE
-        run_lolcode(src, 4, seed=1, engine="compiled")
-        assert compile_python_cached.cache_info().misses == 1
+        run_lolcode(src, 4, seed=1, engine="vm")
+        info = compile_vm_cached.cache_info()
+        assert info.misses == 1  # compiled once...
+        assert info.hits >= 3  # ...shared by every other PE
+        run_lolcode(src, 4, seed=1, engine="vm")
+        assert compile_vm_cached.cache_info().misses == 1
 
     def test_traced_and_untraced_compiles_are_distinct(self):
         # FLOP accounting is baked in at compile time, so the tracing
         # flag is part of the cache identity — and traced flop totals
         # match the interpreters exactly (see test_engine_differential).
-        compile_python_cached.cache_clear()
+        compile_vm_cached.cache_clear()
         src = lol("VISIBLE SQUAR OF 3")
-        run_lolcode(src, 1, engine="compiled")
-        run_lolcode(src, 1, engine="compiled", trace=True)
-        assert compile_python_cached.cache_info().misses == 2
+        run_lolcode(src, 1, engine="vm")
+        run_lolcode(src, 1, engine="vm", trace=True)
+        assert compile_vm_cached.cache_info().misses == 2

@@ -1,9 +1,9 @@
 """Differential tests: every engine against the reference tree-walker.
 
-The closure-compilation engine must be observationally identical to the
-reference tree-walker (and, where the program is compilable, to the
-compiled-Python backend and the native C engine) — same VISIBLE output
-per PE, same FLOP/op accounting, same RNG draw sequence.  This suite
+The closure-compilation engine and the bytecode VM must be
+observationally identical to the reference tree-walker (and, where the
+program is compilable, so must the native C engine) — same VISIBLE
+output per PE, same FLOP/op accounting, same RNG draw sequence.  This suite
 checks that property on
 
 * every bundled paper example at 1/2/4 PEs,
@@ -49,15 +49,15 @@ def both_engines(src: str, n_pes: int, **kwargs):
     return a, c
 
 
-def assert_engines_agree(src: str, n_pes: int, *, compiled: bool = False, **kwargs):
+def assert_engines_agree(src: str, n_pes: int, *, vm: bool = False, **kwargs):
     a, c = both_engines(src, n_pes, **kwargs)
     assert a.outputs == c.outputs, (
         f"closure engine diverged from tree-walker at {n_pes} PEs"
     )
-    if compiled:
-        p = run_lolcode(src, n_pes, engine="compiled", **kwargs)
-        assert a.outputs == p.outputs, (
-            f"compiled backend diverged from interpreters at {n_pes} PEs"
+    if vm:
+        v = run_lolcode(src, n_pes, engine="vm", **kwargs)
+        assert a.outputs == v.outputs, (
+            f"VM engine diverged from tree-walker at {n_pes} PEs"
         )
     return a, c
 
@@ -67,19 +67,19 @@ class TestPaperExamples:
     @pytest.mark.parametrize("n_pes", [1, 2, 4])
     def test_outputs_identical_all_three_engines(self, name, n_pes):
         src = (EXAMPLES_LOL / name).read_text()
-        assert_engines_agree(src, n_pes, compiled=True, seed=42)
+        assert_engines_agree(src, n_pes, vm=True, seed=42)
 
     def test_racy_nbody_single_pe(self):
         # The racy listing is only deterministic at 1 PE; that is enough
         # to pin the closure engine to the tree-walker on it too.
         src = (EXAMPLES_LOL / "nbody2d.lol").read_text()
-        assert_engines_agree(src, 1, compiled=True, seed=7)
+        assert_engines_agree(src, 1, vm=True, seed=7)
 
     @pytest.mark.parametrize("name", EXAMPLES)
     def test_trace_accounting_identical(self, name):
         src = (EXAMPLES_LOL / name).read_text()
         a, c = both_engines(src, 2, seed=42, trace=True)
-        p = run_lolcode(src, 2, engine="compiled", seed=42, trace=True)
+        p = run_lolcode(src, 2, engine="vm", seed=42, trace=True)
         assert a.trace.total_flops() == c.trace.total_flops()
         assert a.trace.total_flops() == p.trace.total_flops()
         assert a.trace.total_remote_bytes() == c.trace.total_remote_bytes()
@@ -98,7 +98,7 @@ def _engine_outputs(
 ):
     """Run the engine matrix; returns ``({engine: outputs}, skips)``.
 
-    A compiler-backend ``CompileError`` is a *documented* restriction
+    A C-backend ``CompileError`` is a *documented* restriction
     (SRS computed identifiers, nested/symmetric declarations in
     functions); it is recorded in ``skips`` so the caller can still
     assert interpreter agreement before skip-reporting the missing
@@ -125,7 +125,7 @@ def _engine_outputs(
         try:
             outputs[engine] = run_lolcode(src, n_pes, engine=engine, **ekw).outputs
         except CompileError as exc:
-            assert engine in ("compiled", "c"), (
+            assert engine == "c", (
                 f"interpreter engine {engine!r} raised CompileError: {exc}"
             )
             skips[engine] = f"{engine}-engine restriction: {exc}"
@@ -144,11 +144,6 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
         f"{workload.name}: VM engine diverged from tree-walker at "
         f"{n_pes} PEs {where}"
     )
-    if "compiled" in outputs:
-        assert outputs["compiled"] == outputs["ast"], (
-            f"{workload.name}: compiled diverged from tree-walker at "
-            f"{n_pes} PEs {where}"
-        )
     if "c" in outputs and not uses_random(src):
         assert outputs["c"] == outputs["ast"], (
             f"{workload.name}: native engine diverged from tree-walker "
@@ -161,7 +156,7 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
 @pytest.mark.workload
 class TestWorkloadRegistryMatrix:
     """Every registered workload runs bit-identically on closure, ast,
-    compiled, and — where a C toolchain exists and the kernel draws no
+    vm, and — where a C toolchain exists and the kernel draws no
     random values — the native C engine (or is skipped with an explicit
     reason) — the same guarantee ``lolbench`` enforces per sweep cell."""
 
@@ -288,7 +283,7 @@ def _random_program(seed: int) -> str:
 def test_random_arithmetic_loop_programs(seed):
     src = _random_program(seed)
     for n_pes in (1, 2):
-        assert_engines_agree(src, n_pes, compiled=True, seed=seed)
+        assert_engines_agree(src, n_pes, vm=True, seed=seed)
 
 
 def _random_predication_program(seed: int) -> str:
@@ -320,7 +315,7 @@ def _random_predication_program(seed: int) -> str:
 @pytest.mark.parametrize("seed", range(12))
 def test_random_predication_programs_4pes(seed):
     src = _random_predication_program(seed)
-    assert_engines_agree(src, 4, compiled=True, seed=seed)
+    assert_engines_agree(src, 4, vm=True, seed=seed)
 
 
 def test_lock_path_4pes():
@@ -501,13 +496,15 @@ def test_error_parity_undeclared_variable():
 
 
 def test_compiled_engine_refuses_max_steps():
-    # The closure engine's max_steps fallback to the tree-walker is
-    # documented; for engine="compiled" it would be a silent engine
-    # swap (interpret-only programs would "succeed"), so it must raise.
+    # A step limit on the native engine could only be honoured by a
+    # silent swap to an interpreter (interpret-only programs would
+    # "succeed"), so it must raise — and name the engines that count.
     from repro.lang.errors import LolParallelError
 
-    with pytest.raises(LolParallelError, match="max_steps"):
-        run_lolcode(lol("VISIBLE 1"), 1, engine="compiled", max_steps=100)
+    with pytest.raises(LolParallelError, match="max_steps.*'ast', 'vm'"):
+        run_lolcode(
+            lol("VISIBLE 1"), 1, engine="c", executor="process", max_steps=100
+        )
 
 
 def test_engine_validation_and_max_steps_fallback():

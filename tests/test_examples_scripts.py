@@ -31,7 +31,6 @@ def test_quickstart():
     assert "PE 0 HAZ c=" in out
     assert "[race detector]" in out
     assert "shmem_barrier_all" in out
-    assert "ctx.barrier_all()" in out
 
 
 def test_pi_monte_carlo():

@@ -90,6 +90,18 @@ def test_clean_candidates_do_not_diverge():
             assert sum(result.opcode_counts) > 0
 
 
+def test_unknown_engine_rejected_before_running():
+    # A stale corpus entry naming a retired engine must be a typed error
+    # up front, not an "error" outcome that reads as a divergence.
+    from repro.lang.errors import LolParallelError
+
+    with pytest.raises(LolParallelError, match="unknown engine 'compiled'"):
+        run_differential(
+            "HAI 1.2\nVISIBLE 1\nKTHXBYE\n", 1,
+            engines=("ast", "compiled"),
+        )
+
+
 def test_outcome_comparable_ignores_detail():
     a = Outcome("error", error_class="LolTypeError", detail="at line 3")
     b = Outcome("error", error_class="LolTypeError", detail="at line 9")

@@ -1,4 +1,11 @@
-"""Tests for the SPMD launcher (repro.launcher.spmd)."""
+"""Tests for the SPMD launcher (repro.launcher.spmd) and its engine
+table (repro.launcher.engines)."""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +13,39 @@ from repro import run_file, run_lolcode
 from repro.lang.errors import LolParallelError, LolSyntaxError
 
 from .conftest import lol
+
+
+class TestEngineTable:
+    @pytest.mark.parametrize(
+        "engine, kwargs",
+        [
+            ("closure", {"max_steps": 10}),
+            ("c", {"max_steps": 10, "executor": "process"}),
+            ("c", {"trace": True, "executor": "process"}),
+            ("c", {"executor": "thread"}),
+            ("retired", {}),
+        ],
+    )
+    def test_refusals_name_only_table_engines(self, engine, kwargs):
+        from repro.launcher import ENGINES
+
+        with pytest.raises(LolParallelError) as info:
+            run_lolcode(lol("VISIBLE 1"), 1, engine=engine, **kwargs)
+        named = set(re.findall(r"'(\w+)'", info.value.message))
+        assert named - {engine, "process", "thread"} <= set(ENGINES)
+
+    def test_import_repro_does_not_load_the_compiler(self):
+        # Interpreter runs never need the C backend; the launcher loads
+        # it only when a native run starts.
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        code = "import repro, sys; assert 'repro.compiler' not in sys.modules"
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
 
 
 class TestRunLolcode:
@@ -68,7 +108,7 @@ class TestRunLolcode:
         src = lol("WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2.9")
         with pytest.raises(LolParallelError, match="integer"):
             run_lolcode(src, 2, executor="process")
-        for engine in ("closure", "ast", "compiled"):
+        for engine in ("closure", "ast", "vm"):
             with pytest.raises(LolError, match="integer"):
                 run_lolcode(src, 2, executor="thread", engine=engine)
 
@@ -88,11 +128,11 @@ class TestRunLolcode:
 
     def test_non_integral_local_array_size_rejected_all_engines(self):
         # I HAS A (non-symmetric) arrays go through the same shared
-        # to_array_size guard in all three engines.
+        # to_array_size guard in all three Python engines.
         from repro.lang.errors import LolError
 
         src = lol("I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2.9")
-        for engine in ("closure", "ast", "compiled"):
+        for engine in ("closure", "ast", "vm"):
             with pytest.raises(LolError, match="integer"):
                 run_lolcode(src, 1, engine=engine)
 

@@ -272,7 +272,7 @@ class TestMeshProperties:
 
 
 class TestDifferentialProperty:
-    """Interpreter and compiled backend agree on random arithmetic."""
+    """Tree-walker and bytecode VM agree on random arithmetic."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -285,6 +285,6 @@ class TestDifferentialProperty:
 
         src = f"HAI 1.2\nVISIBLE {op} {a} AN {b}\nKTHXBYE\n"
         assert (
-            run_lolcode(src, 1).output
-            == run_lolcode(src, 1, engine="compiled").output
+            run_lolcode(src, 1, engine="ast").output
+            == run_lolcode(src, 1, engine="vm").output
         )

@@ -68,6 +68,36 @@ class TestJobSpec:
         with pytest.raises(ServiceError, match="timeout"):
             JobSpec.from_request({"source": HELLO, "timeout": -1})
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            # The launcher runs the serial executor on exactly one PE:
+            # refused at submit, not later inside a worker.
+            ({"engine": "closure", "executor": "serial", "n_pes": 2},
+             "exactly 1 PE"),
+            ({"engine": "c", "executor": "serial", "n_pes": 2},
+             "exactly 1 PE"),
+            ({"engine": "c", "executor": "thread"}, "native OS processes"),
+            ({"engine": "c", "trace": True}, "op tracing"),
+            ({"engine": "vm", "fallback_engine": "vm"}, "must differ"),
+            ({"engine": "c", "fallback_engine": "jit"},
+             "unknown fallback_engine"),
+        ],
+    )
+    def test_launcher_refusals_happen_at_submit(self, fields, match):
+        with pytest.raises(ServiceError, match=match):
+            JobSpec.from_request({"source": HELLO, **fields})
+
+    def test_native_pool_submission_resolves_to_process(self):
+        spec = JobSpec.from_request(
+            {"source": HELLO, "engine": "c", "fallback_engine": "vm"}
+        )
+        assert spec.executor == "process"
+        spec = JobSpec.from_request(
+            {"source": HELLO, "engine": "c", "executor": "serial"}
+        )
+        assert spec.executor == "serial"
+
 
 class TestExecuteJob:
     def test_row_mirrors_lolbench_schema(self):
